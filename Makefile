@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke doctest linkcheck docstring-lint bench bench-check baseline dash clean
+.PHONY: verify test smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke bounds-smoke doctest linkcheck docstring-lint bench bench-check baseline dash clean
 
-verify: test doctest linkcheck docstring-lint smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke
+verify: test doctest linkcheck docstring-lint smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke bounds-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -79,6 +79,14 @@ explain-smoke:
 		parse_exposition(pathlib.Path('/tmp/explain.metrics.txt').read_text()); \
 		print('/tmp/explain.metrics.txt: exposition is valid OpenMetrics')"
 
+# the Section 4 bound classification on a body with tens of thousands
+# of simple cycles: counted on Howard's critical graph, it must finish
+# in seconds (enumerating every cycle took minutes)
+bounds-smoke:
+	timeout 60 $(PYTHON) -m repro compile examples/dense10.loop \
+		-o /tmp/dense10.compile.json
+	grep -q '"critical_cycle_count": 128' /tmp/dense10.compile.json
+
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
@@ -100,4 +108,5 @@ clean:
 	rm -f /tmp/sweep.trace.json /tmp/sweep.metrics.txt
 	rm -f /tmp/explain.flow.json /tmp/explain.metrics.txt
 	rm -f /tmp/explain.l1.txt /tmp/explain.l2.txt
+	rm -f /tmp/dense10.compile.json
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -34,7 +34,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 from ..obs.metrics import timed
-from ..petrinet.analysis import CriticalCycleReport, critical_cycle_report
+from ..petrinet.analysis import (
+    CriticalCycleReport,
+    critical_cycle_report,
+    cycle_metrics,
+)
 from ..petrinet.behavior import BehaviorGraph, CyclicFrustum
 from .sdsp_pn import SdspPetriNet
 
@@ -98,6 +102,9 @@ def attribute_bottlenecks(
     """
     if report is None:
         report = critical_cycle_report(pn.view(), pn.durations)
+    metrics = report.metrics
+    if metrics is None:  # a critical-graph report names critical cycles only
+        metrics = cycle_metrics(pn.view(), pn.durations)
     alpha = report.cycle_time
     critical = report.transitions_on_critical_cycles
 
@@ -109,12 +116,12 @@ def attribute_bottlenecks(
     for transition in pn.net.transition_names:
         slack[transition] = alpha - Fraction(pn.durations[transition])
         binding[transition] = (transition,)
-    for metrics in report.metrics:
-        margin = alpha * metrics.tokens - Fraction(metrics.value)
-        for transition in metrics.cycle.transitions:
+    for entry in metrics:
+        margin = alpha * entry.tokens - Fraction(entry.value)
+        for transition in entry.cycle.transitions:
             if margin < slack[transition]:
                 slack[transition] = margin
-                binding[transition] = metrics.cycle.transitions
+                binding[transition] = entry.cycle.transitions
 
     if frustum.length <= 0:
         raise AnalysisError("empty frustum has no utilization")

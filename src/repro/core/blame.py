@@ -451,7 +451,6 @@ def explain_compiled(result, periods: int = 3) -> ExplainReport:
     resource waits — while the structural ``α`` still comes from the
     underlying SDSP-PN (the resource bound is reported separately).
     """
-    from ..petrinet.howard import howard_analysis
     from .rate import critical_cycles, scp_rate_upper_bound
 
     if result.scp is not None:
@@ -479,8 +478,10 @@ def explain_compiled(result, periods: int = 3) -> ExplainReport:
     observed, chain = observed_critical_path(dag)
     wait = wait_profiles(dag, transitions=timed_net.net.transition_names)
 
+    # One Howard run (memoised on the net) gives both the witness and
+    # the critical cycles.
+    howard = result.pn.howard()
     report = critical_cycles(result.pn)
-    howard = howard_analysis(result.pn.view(), result.pn.durations)
     structural = tuple(c.transitions for c in report.critical_cycles)
     self_loops = tuple(report.critical_self_loops)
     observed_match = False

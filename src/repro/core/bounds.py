@@ -11,6 +11,11 @@ Theory (unit execution times, ``n`` transitions):
   ``O(n³)`` steps; for off-cycle transitions no polynomial bound is
   known (the paper leaves the problem open).
 
+Which case applies is read off the critical graph of Howard's policy
+iteration (:mod:`repro.petrinet.howard`): its cycles are exactly the
+critical cycles, so only they are enumerated, never every simple cycle
+of the net.
+
 Practice (Section 5): on the Livermore loops the repeated instantaneous
 state is found within ``2n`` time steps; the ``BD`` column of
 Tables 1/2 is "a tight bound derived by observation ... intended only
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from ..petrinet.analysis import critical_cycle_report
 from ..petrinet.behavior import CyclicFrustum, detect_frustum
 from ..petrinet.simulator import ConflictResolutionPolicy
 from .scp import SdspScpNet
@@ -63,10 +67,15 @@ class TheoreticalBounds:
 
 def theoretical_bounds(pn: SdspPetriNet) -> TheoreticalBounds:
     """Classify the net (single vs multiple critical cycles, counting
-    critical self-loops) and instantiate the matching bound."""
-    report = critical_cycle_report(pn.view(), pn.durations)
+    critical self-loops) and instantiate the matching bound.
+
+    The count comes from the critical graph of the net's shared Howard
+    run (:meth:`~repro.core.sdsp_pn.SdspPetriNet.howard`): only that
+    graph's cycles are enumerated."""
+    howard = pn.howard()
     n = pn.size
-    count = len(report.critical_cycles) + len(report.critical_self_loops)
+    cycles = howard.critical_cycles(pn.view())
+    count = len(cycles) + len(howard.critical_self_loops)
     if count <= 1:
         return TheoreticalBounds(
             n=n,

@@ -26,7 +26,7 @@ from typing import Optional
 
 from ..errors import AnalysisError
 from ..obs.metrics import timed
-from ..petrinet.analysis import CriticalCycleReport, critical_cycle_report
+from ..petrinet.analysis import CriticalCycleReport
 from ..petrinet.behavior import CyclicFrustum
 from ..petrinet.howard import cycle_time_howard
 from .scp import SdspScpNet
@@ -45,22 +45,26 @@ __all__ = [
 
 @timed("core.critical_cycles")
 def critical_cycles(pn: SdspPetriNet) -> CriticalCycleReport:
-    """Full critical-cycle analysis of an SDSP-PN.
+    """Critical-cycle analysis of an SDSP-PN: the cycle time, every
+    critical cycle (sorted and canonically rotated like
+    :meth:`~repro.petrinet.marked_graph.MarkedGraphView.simple_cycles`)
+    and the critical self-loops.
 
-    The enumeration report (every critical cycle, for attribution and
-    the dashboard) is cross-checked against Howard's policy iteration —
-    two independent algorithms agreeing on the cycle time is a strong
-    internal consistency guarantee, and the check is near-linear so it
-    costs nothing next to the enumeration itself.
+    Everything comes from the net's one Howard run
+    (:meth:`~repro.core.sdsp_pn.SdspPetriNet.howard`): the cycles are
+    enumerated inside its critical graph only, so the cost follows the
+    number of critical cycles, not of all cycles.  The report carries
+    no per-cycle ``metrics``; exhaustive enumeration
+    (:func:`~repro.petrinet.analysis.critical_cycle_report`) is the
+    test oracle it is checked against.
     """
-    report = critical_cycle_report(pn.view(), pn.durations)
-    alpha = cycle_time_howard(pn.view(), pn.durations)
-    if alpha != report.cycle_time:
-        raise AnalysisError(
-            "cycle-time cross-check failed: Howard's policy iteration "
-            f"found {alpha} but cycle enumeration found {report.cycle_time}"
-        )
-    return report
+    howard = pn.howard()
+    return CriticalCycleReport(
+        cycle_time=howard.cycle_time,
+        metrics=None,
+        critical_cycles=howard.critical_cycles(pn.view()),
+        critical_self_loops=list(howard.critical_self_loops),
+    )
 
 
 @timed("core.optimal_rate")
@@ -71,8 +75,9 @@ def optimal_rate(pn: SdspPetriNet) -> Fraction:
     Computed as ``1 / α`` with the cycle time ``α`` from Howard's
     policy iteration (:mod:`repro.petrinet.howard`) — exact
     :class:`~fractions.Fraction` arithmetic, near-linear practical
-    time, no cycle enumeration."""
-    return 1 / cycle_time_howard(pn.view(), pn.durations)
+    time, no cycle enumeration.  The run is memoised on ``pn`` and
+    shared with :func:`~repro.core.bounds.theoretical_bounds`."""
+    return 1 / pn.howard().cycle_time
 
 
 @timed("core.dependence_cycle_time")

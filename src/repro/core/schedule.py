@@ -35,7 +35,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import ScheduleError
 from ..obs.metrics import timed
@@ -54,6 +64,16 @@ class ScheduledOp:
     iteration: int
 
 
+class _StartIndex(NamedTuple):
+    """:meth:`PipelinedSchedule.start_of`'s lookup tables: each
+    instruction's prologue iterations (first issue time wins) and count,
+    and the sorted relative times of its kernel instances."""
+
+    prologue: Dict[str, Dict[int, int]]
+    prologue_counts: Dict[str, int]
+    kernel: Dict[str, List[int]]
+
+
 @dataclass
 class PipelinedSchedule:
     """A software-pipelined (prologue + kernel) schedule.
@@ -70,6 +90,9 @@ class PipelinedSchedule:
     initiation_interval: int
     iterations_per_kernel: int
     instructions: Tuple[str, ...]
+    _index: Optional[_StartIndex] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.initiation_interval <= 0:
@@ -101,35 +124,47 @@ class PipelinedSchedule:
     # ------------------------------------------------------------------
     # Lookup / expansion
     # ------------------------------------------------------------------
+    def _lookup_index(self) -> _StartIndex:
+        """Per-instruction prologue times and sorted kernel times,
+        built on the first :meth:`start_of` call."""
+        if self._index is None:
+            prologue: Dict[str, Dict[int, int]] = {}
+            counts: Dict[str, int] = {}
+            for op in self.prologue:
+                prologue.setdefault(op.instruction, {}).setdefault(
+                    op.iteration, op.time
+                )
+                counts[op.instruction] = counts.get(op.instruction, 0) + 1
+            kernel: Dict[str, List[int]] = {}
+            for rel, name, _base in self.kernel:
+                kernel.setdefault(name, []).append(rel)
+            for times in kernel.values():
+                times.sort()
+            self._index = _StartIndex(prologue, counts, kernel)
+        return self._index
+
     def start_of(self, instruction: str, iteration: int) -> int:
         """Issue time of one instruction instance."""
         if instruction not in self.instructions:
             raise ScheduleError(f"unknown instruction {instruction!r}")
-        for op in self.prologue:
-            if op.instruction == instruction and op.iteration == iteration:
-                return op.time
-        prologue_count = sum(
-            1 for op in self.prologue if op.instruction == instruction
-        )
-        index = iteration - prologue_count
-        if index < 0:
+        index = self._lookup_index()
+        time = index.prologue.get(instruction, {}).get(iteration)
+        if time is not None:
+            return time
+        position = iteration - index.prologue_counts.get(instruction, 0)
+        if position < 0:
             raise ScheduleError(
                 f"iteration {iteration} of {instruction!r} precedes the "
                 "schedule (negative index after prologue)"
             )
-        kernel_instances = sorted(
-            (rel, base)
-            for rel, name, base in self.kernel
-            if name == instruction
-        )
-        if not kernel_instances:
+        kernel_times = index.kernel.get(instruction)
+        if not kernel_times:
             raise ScheduleError(
                 f"instruction {instruction!r} does not appear in the kernel"
             )
         k = self.iterations_per_kernel
-        m, j = divmod(index, k)
-        rel, _base = kernel_instances[j]
-        return self.start_time + m * self.initiation_interval + rel
+        m, j = divmod(position, k)
+        return self.start_time + m * self.initiation_interval + kernel_times[j]
 
     def expand(self, iterations: int) -> List[ScheduledOp]:
         """All instances covering iterations ``0 .. iterations-1`` of

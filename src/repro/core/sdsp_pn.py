@@ -29,6 +29,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..dataflow.graph import DataArc, DataflowGraph
 from ..errors import NetConstructionError
+from ..petrinet import howard as _howard
+from ..petrinet.howard import HowardResult
 from ..petrinet.marked_graph import MarkedGraphView
 from ..petrinet.marking import Marking
 from ..petrinet.net import PetriNet
@@ -59,6 +61,9 @@ class SdspPetriNet:
     durations: Dict[str, int]
     data_place_of: Dict[str, str]
     ack_place_of: Dict[str, str]
+    _howard: Optional[HowardResult] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def timed(self) -> TimedPetriNet:
@@ -67,6 +72,18 @@ class SdspPetriNet:
     def view(self) -> MarkedGraphView:
         """Marked-graph analysis view (cycle enumeration etc.)."""
         return MarkedGraphView(self.net, self.initial)
+
+    def howard(self) -> HowardResult:
+        """Howard's policy iteration on this net, run once and shared:
+        the cycle time (:func:`~repro.core.rate.optimal_rate`), the
+        critical graph (:func:`~repro.core.bounds.theoretical_bounds`,
+        :func:`~repro.core.rate.critical_cycles`) and the witness all
+        come from the same run."""
+        if self._howard is None:
+            # Looked up on the module at call time, so a wrapper put on
+            # ``howard_analysis`` (a tracer, a test spy) sees the run.
+            self._howard = _howard.howard_analysis(self.view(), self.durations)
+        return self._howard
 
     @property
     def size(self) -> int:

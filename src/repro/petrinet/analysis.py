@@ -22,8 +22,10 @@ suite:
   to the bounded-denominator rational the answer must be;
 * :mod:`repro.petrinet.linprog` — the LP formulation (Magott [30]).
 
-(The production path for rates, Howard's policy iteration, lives in
-:mod:`repro.petrinet.howard` and is cross-checked against all three.)
+(The production path, Howard's policy iteration with its critical
+graph, lives in :mod:`repro.petrinet.howard`; these three are the
+oracles the test suite checks it against, and compilation calls none
+of them.)
 
 Per Appendix A.7 the implicit self-loops of Assumption A.6.1 also count
 as cycles: a transition ``t`` contributes a cycle of ratio ``τ(t)/1``,
@@ -89,10 +91,13 @@ class CriticalCycleReport:
     self-loop achieves it (possible when one operation is slower than
     every recurrence).  ``transitions_on_critical_cycles`` is the union
     used by the multiple-critical-cycle bound (Theorem 4.2.2).
+    ``metrics`` covers every simple cycle when the report comes from
+    enumeration, and is None when it was read off Howard's critical
+    graph (:func:`repro.core.rate.critical_cycles`).
     """
 
     cycle_time: Fraction
-    metrics: List[CycleMetrics]
+    metrics: Optional[List[CycleMetrics]]
     critical_cycles: List[SimpleCycle]
     critical_self_loops: List[str]
 

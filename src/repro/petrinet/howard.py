@@ -23,7 +23,11 @@ one-cycle-per-component functional graph is evaluated exactly
 first by gain (reach a larger cycle ratio) and then by bias.  At
 convergence the optimality inequalities hold for **every** edge, which
 telescopes into a machine-checked proof that no cycle beats the answer,
-and the final policy graph contains a witness cycle attaining it.
+and the final policy graph contains a witness cycle attaining it.  The
+places those inequalities hold with equality form the *critical graph*
+(:attr:`HowardResult.critical_places`): its cycles are exactly the
+critical cycles, so Theorems 4.1/4.2's single-vs-multiple question is
+answered by enumerating that small graph, never the whole net.
 
 >>> from repro.loops import parse_loop, translate
 >>> from repro.core import build_sdsp_pn
@@ -34,6 +38,10 @@ and the final policy graph contains a witness cycle attaining it.
 Fraction(1, 1)
 >>> cycle_time_howard(pn.view(), pn.durations) == result.cycle_time
 True
+>>> [c.transitions for c in result.critical_cycles(pn.view())]
+[('A',)]
+>>> result.critical_self_loops
+('A',)
 """
 
 from __future__ import annotations
@@ -72,16 +80,38 @@ class HowardResult:
     it is ``None`` when the maximum is attained only by an implicit
     self-loop, in which case ``critical_self_loop`` names the slow
     transition.  ``iterations`` counts policy-improvement rounds.
+
+    ``critical_places`` is the *critical graph* the converged policy
+    proves, sorted.  Call a place ``u → v`` *tight* when
+    ``λ(u) = λ(v) = α`` and ``v(u) = τ(u) − α·M(p) + v(v)``.  At
+    convergence every place within the ``α`` class satisfies
+    ``v(u) ≥ τ(u) − α·M(p) + v(v)``, so summing around a cycle shows it
+    is critical exactly when all its places are tight; the critical
+    graph keeps the tight places that lie on a cycle of tight places.
+    Every cycle of the critical graph is critical and every critical
+    cycle lies in it.  ``critical_self_loops`` lists the
+    transitions (in net order) whose implicit self-loop is critical,
+    ``τ(t) = α``.
     """
 
     cycle_time: Fraction
     critical_cycle: Optional[SimpleCycle]
     critical_self_loop: Optional[str]
     iterations: int
+    critical_places: Tuple[str, ...]
+    critical_self_loops: Tuple[str, ...]
 
     @property
     def computation_rate(self) -> Fraction:
         return 1 / self.cycle_time
+
+    def critical_cycles(self, view: MarkedGraphView) -> List[SimpleCycle]:
+        """Every critical simple cycle of ``view`` (the view this result
+        was computed on), sorted and canonically rotated exactly like
+        :meth:`~repro.petrinet.marked_graph.MarkedGraphView.simple_cycles`.
+
+        Only the critical graph is enumerated, never the whole net."""
+        return view.restrict(self.critical_places).simple_cycles()
 
 
 def _build_edges(
@@ -106,30 +136,6 @@ def _build_edges(
     for transition in out:
         out[transition].sort(key=lambda e: (e.place is None, e.place or ""))
     return out
-
-
-def _require_live(view: MarkedGraphView) -> None:
-    """Reject token-free structural cycles up front (no finite cycle
-    time exists).  A cycle all of whose places are empty is exactly a
-    cycle of the zero-token edge subgraph — an O(P + T) check, no cycle
-    enumeration needed."""
-    zero = nx.DiGraph()
-    zero.add_nodes_from(view.net.transition_names)
-    for place in view.net.place_names:
-        if view.initial[place] == 0:
-            (producer,) = view.net.input_transitions(place)
-            (consumer,) = view.net.output_transitions(place)
-            zero.add_edge(producer, consumer)
-    try:
-        cycle_edges = nx.find_cycle(zero)
-    except nx.NetworkXNoCycle:
-        return
-    transitions = [edge[0] for edge in cycle_edges]
-    raise AnalysisError(
-        "cycle through "
-        + " -> ".join(transitions)
-        + " carries no token: the net is not live and has no cycle time"
-    )
 
 
 def _evaluate(
@@ -161,7 +167,7 @@ def _evaluate(
             cycle = path[index:]
             weight = sum(policy[u].weight for u in cycle)
             height = sum(policy[u].height for u in cycle)
-            if height == 0:  # pragma: no cover - excluded by _require_live
+            if height == 0:  # pragma: no cover - liveness checked up front
                 raise AnalysisError(
                     "policy cycle through "
                     + " -> ".join(cycle)
@@ -197,7 +203,14 @@ def howard_analysis(
     nodes = tuple(view.net.transition_names)
     if not nodes:
         raise AnalysisError("net has no transitions; cycle time undefined")
-    _require_live(view)
+    # A token-free cycle has no finite cycle time; reject it up front.
+    dead = view.token_free_cycle()
+    if dead is not None:
+        raise AnalysisError(
+            "cycle through "
+            + " -> ".join(dead)
+            + " carries no token: the net is not live and has no cycle time"
+        )
     out_edges = _build_edges(view, durations)
     # Start from the always-present self-loops: a valid policy whose
     # evaluation (λ(t) = τ(t)) is the paper's self-loop floor.
@@ -245,7 +258,54 @@ def howard_analysis(
 
     alpha = max(lam.values())
     witness_cycle, witness_loop = _extract_witness(nodes, policy, lam, alpha)
-    return HowardResult(alpha, witness_cycle, witness_loop, iterations)
+    critical_places = _critical_places(nodes, out_edges, lam, val, alpha)
+    critical_self_loops = tuple(u for u in nodes if durations[u] == alpha)
+    return HowardResult(
+        alpha,
+        witness_cycle,
+        witness_loop,
+        iterations,
+        critical_places,
+        critical_self_loops,
+    )
+
+
+def _critical_places(
+    nodes: Tuple[str, ...],
+    out_edges: Dict[str, List[_Edge]],
+    lam: Dict[str, Fraction],
+    val: Dict[str, Fraction],
+    alpha: Fraction,
+) -> Tuple[str, ...]:
+    """The places of the critical graph, sorted.
+
+    A place is *tight* when both ends have gain ``alpha`` and it meets
+    its optimality inequality with equality.  Every cycle of tight
+    places is critical, but tight places also lead into critical cycles
+    (the policy's own tree edges are tight), so only those inside a
+    strongly connected component of the tight graph are kept — exactly
+    the places on some critical cycle."""
+    tight = nx.MultiDiGraph()
+    for u in nodes:
+        if lam[u] != alpha:
+            continue
+        for edge in out_edges[u]:
+            if (
+                edge.place is not None
+                and lam[edge.target] == alpha
+                and val[u]
+                == edge.weight - alpha * edge.height + val[edge.target]
+            ):
+                tight.add_edge(u, edge.target, key=edge.place)
+    component = {}
+    for index, members in enumerate(nx.strongly_connected_components(tight)):
+        for node in members:
+            component[node] = index
+    return tuple(sorted(
+        place
+        for u, v, place in tight.edges(keys=True)
+        if component[u] == component[v]
+    ))
 
 
 def _extract_witness(

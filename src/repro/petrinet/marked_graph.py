@@ -181,15 +181,67 @@ class MarkedGraphView:
         ]
 
     # ------------------------------------------------------------------
+    # Subnets
+    # ------------------------------------------------------------------
+    def restrict(self, places: Iterable[str]) -> "MarkedGraphView":
+        """The view of the subnet keeping only ``places`` (and the
+        transitions they join), with their initial tokens.
+
+        Its simple cycles are exactly this view's simple cycles that use
+        only the kept places, so enumerating a small subnet (the
+        zero-token places, or the critical graph of
+        :func:`~repro.petrinet.howard.howard_analysis`) never touches
+        the rest of the net.
+        """
+        net = self.net
+        sub = PetriNet(name=f"{net.name}-sub")
+        tokens: Dict[str, int] = {}
+        for place in places:
+            (producer,) = net.input_transitions(place)
+            (consumer,) = net.output_transitions(place)
+            for transition in (producer, consumer):
+                if not sub.has_transition(transition):
+                    sub.add_transition(
+                        transition, net.transition(transition).annotation
+                    )
+            sub.add_place(place, net.place(place).annotation)
+            sub.add_arc(producer, place)
+            sub.add_arc(place, consumer)
+            if self.initial[place]:
+                tokens[place] = self.initial[place]
+        return MarkedGraphView(sub, Marking(tokens))
+
+    def _token_free_places(self) -> List[str]:
+        return [p for p in self.net.place_names if self.initial[p] == 0]
+
+    def token_free_cycle(self) -> Optional[List[str]]:
+        """One cycle carrying no token, as its transitions in order, or
+        None when the net is live.  A cycle all of whose places are
+        empty is a cycle of the zero-token edge subgraph, so this is an
+        O(P + T) search with no cycle enumeration."""
+        zero = nx.DiGraph()
+        zero.add_nodes_from(self.net.transition_names)
+        for place in self._token_free_places():
+            (producer,) = self.net.input_transitions(place)
+            (consumer,) = self.net.output_transitions(place)
+            zero.add_edge(producer, consumer)
+        try:
+            cycle_edges = nx.find_cycle(zero)
+        except nx.NetworkXNoCycle:
+            return None
+        return [edge[0] for edge in cycle_edges]
+
+    # ------------------------------------------------------------------
     # Theorems A.5.1 – A.5.3
     # ------------------------------------------------------------------
     def is_live(self) -> bool:
         """Theorem A.5.1: live iff every simple cycle carries a token."""
-        return all(c.token_sum(self.initial) > 0 for c in self.simple_cycles())
+        return self.token_free_cycle() is None
 
     def token_free_cycles(self) -> List[SimpleCycle]:
-        """Witnesses against liveness (empty when live)."""
-        return [c for c in self.simple_cycles() if c.token_sum(self.initial) == 0]
+        """Witnesses against liveness (empty when live): the simple
+        cycles of the zero-token subnet."""
+        return self.restrict(self._token_free_places()).simple_cycles()
 
     def is_safe(self) -> bool:
         """Theorem A.5.2 (for a live marking): safe iff every place lies
